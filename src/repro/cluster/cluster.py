@@ -19,14 +19,15 @@ Executor choice and timing semantics
 
 :meth:`Cluster.run_on_nodes` supports two executors:
 
-* ``"threads"`` (the default) dispatches the per-node work items to a
-  ``ThreadPoolExecutor``.  The heavy per-node work is numpy, which releases
-  the GIL, so fragments genuinely overlap and the *real* wall clock of a
-  phase approaches the slowest fragment on multi-core hosts.  Per-node
-  compute is measured with :func:`time.thread_time` (per-thread CPU
-  seconds), so scheduler interference between concurrently running
-  fragments does not inflate any node's measurement — the simulated
-  max-per-node + network model is unchanged by the executor choice.
+* ``"threads"`` (the default) dispatches the per-node work items to one
+  process-wide fragment pool (see below).  The heavy per-node work is
+  numpy, which releases the GIL, so fragments genuinely overlap and the
+  *real* wall clock of a phase approaches the slowest fragment on
+  multi-core hosts.  Per-node compute is measured with
+  :func:`time.thread_time` (per-thread CPU seconds), so scheduler
+  interference between concurrently running fragments does not inflate
+  any node's measurement — the simulated max-per-node + network model is
+  unchanged by the executor choice.
 * ``"sequential"`` is the deterministic fallback: nodes run one after
   another and are wall-clock timed (:func:`time.perf_counter`), exactly
   the pre-threading behaviour.  Use it when profiling per-node work or
@@ -36,11 +37,33 @@ Caveat recorded deliberately: ``thread_time`` counts only the submitting
 thread, so per-node kernels that fan out into their *own* thread pools
 (multi-threaded BLAS) would be under-counted on the threaded path; the
 per-node work the engines submit is single-threaded numpy.
+
+The fragment pool
+-----------------
+
+Every threaded phase in the process shares one ``ThreadPoolExecutor`` of
+``os.cpu_count()`` workers.  It is created on the first threaded phase,
+its idle workers live until the interpreter exits, and a forked child
+process starts with no pool and creates its own.  A phase submits one item
+per node, so at most ``min(n_nodes, cpu_count)`` of its fragments run at
+once; a Lanczos SVD runs several hundred phases, and the pool makes each
+one cost a queue hand-off instead of starting and joining threads.  The
+pool is not per cluster because one process commonly keeps several
+clusters alive, and each would hold its own idle threads.
+
+A fragment that itself calls :meth:`Cluster.run_on_nodes` runs the inner
+phase on its own worker thread, node after node, still timed with
+``thread_time``: queuing the inner items behind the outer ones on a
+pool that the outer phase already fills would wait forever.
+
+Phase accounting is O(1) in history: a phase reads the network model's
+running totals, never its transfer log.
 """
 
 from __future__ import annotations
 
 import os
+import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -50,6 +73,44 @@ from repro.cluster.network import NetworkModel
 
 #: Valid values for :attr:`Cluster.executor`.
 EXECUTORS = ("threads", "sequential")
+
+_pool: ThreadPoolExecutor | None = None
+_pool_lock = threading.Lock()
+_worker = threading.local()
+
+
+def _mark_worker() -> None:
+    _worker.in_pool = True
+
+
+def _make_pool(max_workers: int) -> ThreadPoolExecutor:
+    return ThreadPoolExecutor(max_workers=max_workers, initializer=_mark_worker,
+                              thread_name_prefix="cluster-fragment")
+
+
+def _fragment_pool() -> ThreadPoolExecutor:
+    """The process-wide fragment pool, created on first use."""
+    global _pool
+    with _pool_lock:
+        if _pool is None:
+            _pool = _make_pool(os.cpu_count() or 1)
+        return _pool
+
+
+def _forget_pool() -> None:
+    # A forked child inherits the pool object but none of its threads.
+    global _pool
+    _pool = None
+
+
+if hasattr(os, "register_at_fork"):  # POSIX only
+    os.register_at_fork(after_in_child=_forget_pool)
+
+
+def _timed_on_thread(node_id: int, work: Callable[[int], object]) -> tuple[object, float]:
+    started = time.thread_time()
+    output = work(node_id)
+    return output, time.thread_time() - started
 
 
 @dataclass
@@ -154,25 +215,34 @@ class Cluster:
             per_node_seconds.append(time.perf_counter() - started)
         return outputs, per_node_seconds
 
-    def _run_threaded(self, per_node_work: Sequence[Callable[[int], object]]) -> tuple[list, list[float]]:
+    @staticmethod
+    def _run_threaded(per_node_work: Sequence[Callable[[int], object]]) -> tuple[list, list[float]]:
         # Per-node work must not touch shared driver state: the engines'
         # fragments are pure compute over their own partition (network
         # transfers happen between phases, on the driver).  Timing uses the
         # per-thread CPU clock so concurrent fragments do not inflate each
-        # other's measurement; the pool is per-call, so no idle threads
-        # outlive the phase.
-        def run_one(node_id: int, work: Callable[[int], object]) -> tuple[object, float]:
-            started = time.thread_time()
-            output = work(node_id)
-            return output, time.thread_time() - started
-
-        max_workers = min(self.n_nodes, os.cpu_count() or 1)
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
+        # other's measurement.  The pool is shared by every phase in the
+        # process and outlives them; a phase dispatched from inside a
+        # fragment runs on that fragment's worker (see the module notes).
+        if getattr(_worker, "in_pool", False):
+            paired = [
+                _timed_on_thread(node_id, work) for node_id, work in enumerate(per_node_work)
+            ]
+        else:
+            pool = _fragment_pool()
             futures = [
-                pool.submit(run_one, node_id, work)
+                pool.submit(_timed_on_thread, node_id, work)
                 for node_id, work in enumerate(per_node_work)
             ]
-            paired = [future.result() for future in futures]
+            try:
+                paired = [future.result() for future in futures]
+            except BaseException:
+                # No fragment of a failed phase runs on after it: drop the
+                # ones not started, wait for the ones running.
+                for future in futures:
+                    if not future.cancel():
+                        future.exception()
+                raise
         outputs = [output for output, _seconds in paired]
         per_node_seconds = [seconds for _output, seconds in paired]
         return outputs, per_node_seconds

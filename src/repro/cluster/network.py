@@ -36,11 +36,21 @@ class NetworkModel:
     Attributes:
         latency_seconds: per-message fixed cost.
         bandwidth_bytes_per_second: sustained point-to-point bandwidth.
+        transfers: the log of every transfer since the last :meth:`reset`.
+
+    :attr:`total_bytes` and :attr:`total_seconds` are running counters kept
+    by :meth:`transfer`, so reading them costs O(1) however long the log
+    grows (every cluster phase reads them twice).  They equal the sums over
+    :attr:`transfers` as long as the log is changed only through
+    :meth:`transfer` and :meth:`reset`, from one thread at a time (the
+    cluster moves data on the driver, between phases).
     """
 
     latency_seconds: float = 0.0005
     bandwidth_bytes_per_second: float = 110e6
     transfers: list[TransferRecord] = field(default_factory=list)
+    _total_bytes: int = field(default=0, init=False, repr=False, compare=False)
+    _total_seconds: float = field(default=0.0, init=False, repr=False, compare=False)
 
     def cost_of(self, n_bytes: int) -> float:
         """Simulated seconds to move ``n_bytes`` point to point."""
@@ -61,6 +71,8 @@ class NetworkModel:
             TransferRecord(source=source, destination=destination,
                            n_bytes=len(wire), seconds=seconds, label=label)
         )
+        self._total_bytes += len(wire)
+        self._total_seconds += seconds
         return pickle.loads(wire), seconds
 
     def broadcast(self, payload, source: int, destinations: list[int], label: str = "") -> tuple[list, float]:
@@ -95,11 +107,15 @@ class NetworkModel:
 
     @property
     def total_bytes(self) -> int:
-        return sum(record.n_bytes for record in self.transfers)
+        """Bytes moved since the last :meth:`reset`."""
+        return self._total_bytes
 
     @property
     def total_seconds(self) -> float:
-        return sum(record.seconds for record in self.transfers)
+        """Simulated network seconds charged since the last :meth:`reset`."""
+        return self._total_seconds
 
     def reset(self) -> None:
         self.transfers.clear()
+        self._total_bytes = 0
+        self._total_seconds = 0.0

@@ -73,10 +73,13 @@ class MapReduceJob:
 
 @dataclass
 class JobResult:
-    """The materialised output of one job plus its counters."""
+    """One job-history entry: the job's name and counters.
+
+    The reducer output is returned by :meth:`MapReduceEngine.run` and not
+    kept here, so the history stays small however many jobs run.
+    """
 
     name: str
-    output: list[tuple[object, object]]
     counters: JobCounters
 
 
@@ -89,6 +92,7 @@ class MapReduceEngine:
         self.n_splits = n_splits
         self.sort_shuffle = sort_shuffle
         self.history: list[JobResult] = []
+        self._total_shuffle_bytes = 0
 
     # -- split handling -----------------------------------------------------------
 
@@ -141,7 +145,8 @@ class MapReduceEngine:
                 output.append(pair)
                 counters.reduce_output_records += 1
 
-        self.history.append(JobResult(name=job.name, output=output, counters=counters))
+        self.history.append(JobResult(name=job.name, counters=counters))
+        self._total_shuffle_bytes += counters.shuffle_bytes
         return output
 
     def run_chain(self, jobs: Sequence[MapReduceJob], records: Sequence) -> list[tuple[object, object]]:
@@ -184,7 +189,7 @@ class MapReduceEngine:
     @property
     def total_shuffle_bytes(self) -> int:
         """Serialised spill bytes across every job this engine has run."""
-        return sum(result.counters.shuffle_bytes for result in self.history)
+        return self._total_shuffle_bytes
 
     @property
     def jobs_run(self) -> int:

@@ -68,6 +68,9 @@ class TestEngine:
         assert output == {"total": 3}
         assert engine.jobs_run == 2
         assert engine.total_shuffle_bytes > 0
+        assert engine.total_shuffle_bytes == sum(
+            result.counters.shuffle_bytes for result in engine.history
+        )
 
     def test_invalid_split_count(self):
         with pytest.raises(ValueError):
