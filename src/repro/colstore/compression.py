@@ -176,7 +176,7 @@ class Encoding:
 
     def filter_mask(self, predicate) -> np.ndarray:
         """Full-length boolean mask for an element-wise predicate."""
-        return predicate_mask(self.decode(), predicate)  # decode-ok: opaque predicates have no fast path
+        return predicate_mask(self.decode(), predicate)  # decode-ok: general predicates have no fast path
 
     def isin(self, values: np.ndarray) -> np.ndarray:
         """Full-length boolean membership mask."""

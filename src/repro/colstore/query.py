@@ -5,7 +5,7 @@ query surface in :mod:`repro.plan`: ``where`` accepts an expression tree
 (``col("function") < 250``, ``&``/``|``/``~``, ``isin``) and only records
 it.  The accumulated conjunction is optimized when a result is first
 needed — split into conjuncts, each classified structurally
-(range/equality/membership/opaque) and reordered so the predicate with the
+(range/equality/membership/general) and reordered so the predicate with the
 smallest estimated selectivity (from the encodings' own statistics) runs
 first over the full column while the rest evaluate on the already-narrowed
 selection only.  The materialised state is a *selection vector* (integer
@@ -14,10 +14,8 @@ execution style of real column stores; ``columns()`` / ``to_matrix()``
 gather only what the caller asks for, and ``select()``/``collect()`` prune
 the materialised columns to the projected set.
 
-The legacy ``where(column_name, callable)`` form is deprecated: it wraps
-the callable into an opaque-predicate node the optimizer cannot inspect
-(default selectivity, no encoding-specific mapping beyond the distinct-
-value pushdown).  Migrate to expressions — see ``src/repro/plan/README.md``.
+``where`` takes expressions only; the former ``where(column_name,
+callable)`` form raises ``TypeError`` pointing at ``repro.plan.col``.
 
 Joins are lazy too: :meth:`ColumnQuery.join` returns a :class:`JoinedQuery`
 builder whose terminals (``collect`` / ``group_aggregate`` / ``pivot``)
@@ -57,14 +55,13 @@ in the last ulps.
 
 from __future__ import annotations
 
-import warnings
-from typing import Callable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
 from repro.colstore.compression import predicate_mask
 from repro.colstore.table import ColumnTable
-from repro.plan.expressions import ColumnRef, Expression, InList, Opaque
+from repro.plan.expressions import ColumnRef, Expression, InList, require_expression
 from repro.plan.logical import Aggregate, Filter, Join, Pivot, PlanNode, Project, Scan
 from repro.plan.optimizer import ordered_conjuncts
 
@@ -326,42 +323,22 @@ class ColumnQuery:
 
     # -- filtering -----------------------------------------------------------------
 
-    def where(self, column, predicate: Callable[[np.ndarray], np.ndarray] | None = None) -> "ColumnQuery":
-        """Keep rows satisfying a predicate (lazily).
-
-        The declarative form takes one expression argument::
+    def where(self, expression: Expression, *callable_form) -> "ColumnQuery":
+        """Keep rows satisfying a predicate expression (lazily)::
 
             query.where(col("function") < 250)
             query.where((col("gender") == 1) & (col("age") < 40))
 
         Conjunctions are split and reordered by estimated selectivity before
         execution; range/equality/``isin`` shapes map straight onto the
-        encodings' fast paths.
-
-        The legacy form ``where(column_name, callable)`` is **deprecated**:
-        the callable must be vectorised, element-wise and stateless (on
-        dictionary/RLE columns it is evaluated on the *distinct* values
-        only) and is wrapped into an opaque node the optimizer cannot
-        inspect or estimate.
+        encodings' fast paths.  The removed ``where(column_name, callable)``
+        form (``callable_form``) raises ``TypeError``.
         """
-        if isinstance(column, Expression):
-            if predicate is not None:
-                raise TypeError(
-                    "where(expression) takes no second argument; "
-                    "where(column_name, callable) is the deprecated form"
-                )
-            self._validate_columns(column.columns_referenced())
-            return self._derive(column)
-        warnings.warn(
-            "ColumnQuery.where(column_name, callable) is deprecated; build a "
-            "declarative expression with repro.plan.col instead",
-            DeprecationWarning,
-            stacklevel=2,
+        expression = require_expression(
+            callable_form[-1] if callable_form else expression, "ColumnQuery.where"
         )
-        if not callable(predicate):
-            raise TypeError("the deprecated where(column_name, ...) form needs a callable")
-        self.table.column(column)  # raises KeyError naming column and table
-        return self._derive(Opaque(column, predicate))
+        self._validate_columns(expression.columns_referenced())
+        return self._derive(expression)
 
     def where_in(self, column: str, values: Sequence) -> "ColumnQuery":
         """Keep rows whose column value is in ``values`` (lazily).
@@ -681,11 +658,10 @@ class JoinedQuery:
         The predicate joins the plan *above* the Join node; the optimizer
         then pushes each total single-side conjunct below the join onto the
         input it references, exactly as if it had been written on that
-        input.  Partial predicates (division, opaque callables) stay above
+        input.  Partial predicates (division) stay above
         the join — below it they would run on rows the join eliminates.
         """
-        if not isinstance(expression, Expression):
-            raise TypeError("JoinedQuery.where takes a declarative expression")
+        require_expression(expression, "JoinedQuery.where")
         for name in sorted(expression.columns_referenced()):
             if self._source(name) != name:
                 raise ValueError(

@@ -34,8 +34,7 @@ from repro.datagen.dataset import GenBaseDataset
 from repro.linalg.covariance import top_covariant_pairs
 from repro.plan import col, lit
 from repro.relational import ColumnType, Database
-from repro.relational.bridge import run_shared_plan
-from repro.relational.query import QueryResultSet
+from repro.relational.bridge import QueryResultSet, run_shared_plan
 from repro.relational.udf import UdfRegistry, default_madlib_registry
 from repro.rlang import stats as r
 from repro.rlang.dataframe import DataFrame

@@ -26,9 +26,8 @@ engine family executes (see ``docs/FUZZING.md`` for the admission table):
   store versus the reference's *exact* answer, within the per-sketch
   relative-error bound in :mod:`repro.fuzz.tolerances`.
 
-Division and ``Opaque`` predicates stay out: division is partial (the row
-store raises on a zero divisor mid-scan) and opaque callables cannot be
-serialised into failure artifacts.
+Division stays out: it is partial (the row store raises on a zero
+divisor mid-scan, the column store yields inf/nan).
 
 **Mutation preludes.**  Any non-``sample`` case may additionally carry a
 short sequence of :class:`MutationOp` writes — appends, deletes, a

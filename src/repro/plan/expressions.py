@@ -20,10 +20,9 @@ One tree serves every execution style the benchmark compares:
   down into the compression encodings, and reorder filters by estimated
   selectivity (:mod:`repro.plan.optimizer`).
 
-:class:`Opaque` wraps a legacy vectorised Python callable over one named
-column.  It keeps the deprecated ``ColumnQuery.where(name, callable)``
-surface working, but the planner can neither introspect nor estimate it —
-which is exactly why the callable form is deprecated.
+There is no callable escape hatch: every engine's filter entry point
+takes an expression and rejects a Python callable with a ``TypeError``
+(:func:`require_expression`).
 """
 
 from __future__ import annotations
@@ -439,49 +438,6 @@ class InList(Expression):
         return f"{self.operand!r}.isin({self._sorted_values()!r})"
 
 
-class Opaque(Expression):
-    """A legacy vectorised Python callable over one named column.
-
-    The callable must be element-wise and stateless (the column store may
-    evaluate it on an encoding's *distinct* values only).  The planner
-    cannot see inside it, so it gets the default selectivity estimate and
-    blocks every rewrite smarter than "run it somewhere in the chain" —
-    prefer real expression trees.
-    """
-
-    def __init__(self, column: str, fn: Callable[[np.ndarray], np.ndarray]):
-        self.column = column
-        self.fn = fn
-
-    def bind(self, schema) -> BoundExpression:
-        index = schema.index_of(self.column)
-        fn = self.fn
-        return BoundExpression(
-            lambda row: bool(np.asarray(fn(np.asarray([row[index]])))[0]),
-            f"opaque({self.column})",
-        )
-
-    def evaluate(self, batch: Mapping[str, np.ndarray]):
-        return self.fn(batch[self.column])
-
-    def columns_referenced(self) -> set[str]:
-        return {self.column}
-
-    def infer_dtype(self, column_dtypes: Mapping[str, np.dtype | None]) -> np.dtype | None:
-        # The callable is a black box; all the verifier can check is that
-        # its input column exists.  Its contract says it returns a mask.
-        if self.column not in column_dtypes:
-            raise StaticTypeError(
-                f"unknown column {self.column!r} "
-                f"(in scope: {sorted(column_dtypes)})",
-                rule="unknown-column",
-            )
-        return np.dtype(bool)
-
-    def __repr__(self) -> str:
-        return f"opaque({self.column!r})"
-
-
 def _to_expression(value) -> Expression:
     """Wrap plain Python values as literals."""
     if isinstance(value, Expression):
@@ -493,10 +449,9 @@ def is_total(expression: Expression) -> bool:
     """True when the predicate is defined for *every* input row.
 
     Division can raise (row store) or emit inf/nan (column store) on rows a
-    join or an earlier filter would have eliminated, and an opaque callable
-    may assume a guarded domain — such predicates must not be evaluated on
-    rows they were not written to see, so the optimizers refuse to move
-    them below a join.  Everything else in the AST (comparisons, boolean
+    join or an earlier filter would have eliminated — such predicates must
+    not be evaluated on rows they were not written to see, so the
+    optimizers refuse to move them below a join.  Everything else in the AST (comparisons, boolean
     connectives, +/-/*, membership) is a total element-wise operation.
 
     >>> is_total(col("a") > 1)
@@ -504,8 +459,6 @@ def is_total(expression: Expression) -> bool:
     >>> is_total(col("a") / col("b") > 1)
     False
     """
-    if isinstance(expression, Opaque):
-        return False
     if isinstance(expression, Arithmetic) and expression.symbol == "/":
         return False
     if isinstance(expression, Comparison):  # includes non-division Arithmetic
@@ -580,9 +533,25 @@ def not_(operand: Expression) -> Not:
     return Not(operand)
 
 
-def opaque(column: str, fn: Callable[[np.ndarray], np.ndarray]) -> Opaque:
-    """Wrap a legacy vectorised callable over one column (see :class:`Opaque`)."""
-    return Opaque(column, fn)
+def require_expression(predicate, entry_point: str) -> Expression:
+    """Return ``predicate`` if it is an expression; otherwise raise TypeError.
+
+    The filter entry points of every engine call this, so a Python callable
+    (the removed predicate form) fails at the call site with a pointer to
+    the expression DSL.
+
+    >>> require_expression(lambda v: v > 0, "DataFrame.subset")
+    Traceback (most recent call last):
+        ...
+    TypeError: DataFrame.subset takes a declarative expression built with repro.plan.col (e.g. col("age") < 40), not a function
+    """
+    if isinstance(predicate, Expression):
+        return predicate
+    kind = "a function" if callable(predicate) else type(predicate).__name__
+    raise TypeError(
+        f"{entry_point} takes a declarative expression built with "
+        f'repro.plan.col (e.g. col("age") < 40), not {kind}'
+    )
 
 
 def all_columns(expressions: Iterable[Expression]) -> set[str]:

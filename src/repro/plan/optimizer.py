@@ -21,8 +21,8 @@ Selectivity estimation reads per-column statistics through a
 :class:`PlanCatalog` (the column store derives them from its encodings:
 dictionary cardinality, run values, delta endpoints).  Predicates are
 classified structurally — range / equality / membership — which is the
-payoff of declarative expressions over opaque callables: a callable can
-only ever get the textbook default of 1/3.
+payoff of declarative expressions: only a shape the classifier cannot
+read gets the textbook default of 1/3.
 """
 
 from __future__ import annotations
@@ -37,7 +37,6 @@ from repro.plan.expressions import (
     Expression,
     InList,
     Literal,
-    Opaque,
     is_total,
     split_conjuncts,
 )
@@ -84,10 +83,9 @@ class OptimizerCapabilities:
     which applies only the enabled rules.
 
     These flags gate *cost-based* rewrites only.  The correctness
-    constraints — the :class:`~repro.plan.logical.Sample` barrier, the
-    opaque-predicate ordering barrier, and the ``is_total`` guard on
-    join pushdown — are built into the rules themselves and hold for
-    every profile.
+    constraints — the :class:`~repro.plan.logical.Sample` barrier and the
+    ``is_total`` guard on join pushdown — are built into the rules
+    themselves and hold for every profile.
 
     The default profile enables everything (the column store and the row
     store honour all five rules).
@@ -153,7 +151,7 @@ class PredicateClass:
     """Structural shape of one predicate, as far as the optimizer can see."""
 
     expression: Expression
-    kind: str                 # range | equality | inequality | membership | opaque | general
+    kind: str                 # range | equality | inequality | membership | general
     column: str | None        # set when exactly one column is referenced
     lower: float | None = None
     upper: float | None = None
@@ -175,8 +173,6 @@ def classify(expression: Expression) -> PredicateClass:
     """Classify a predicate for pushdown and selectivity estimation."""
     referenced = expression.columns_referenced()
     column = next(iter(referenced)) if len(referenced) == 1 else None
-    if isinstance(expression, Opaque):
-        return PredicateClass(expression, "opaque", expression.column)
     if isinstance(expression, InList) and isinstance(expression.operand, ColumnRef):
         return PredicateClass(expression, "membership", expression.operand.name)
     if isinstance(expression, Comparison) and type(expression) is Comparison:
@@ -198,7 +194,7 @@ def classify(expression: Expression) -> PredicateClass:
 
 def estimate_selectivity(predicate: PredicateClass, stats: ColumnStats | None) -> float:
     """Estimated fraction of rows the predicate keeps (deterministic)."""
-    if predicate.kind in ("opaque", "general"):
+    if predicate.kind == "general":
         return DEFAULT_SELECTIVITY
     if stats is None:
         if predicate.kind == "membership":
@@ -240,13 +236,13 @@ def _no_stats(_column):
 def ordered_conjuncts(expressions, stats_for):
     """Split, classify and selectivity-order a conjunction of predicates.
 
-    Opaque predicates (legacy callables) are *ordering barriers*: the
-    optimizer cannot know whether an earlier-written predicate guards the
-    callable's domain (``where(col != 0)`` before a callable that divides),
-    so nothing moves across an opaque conjunct and the opaque conjunct
-    itself stays where it was written.  Declarative predicates reorder
-    freely within each barrier-delimited segment — they are total,
-    element-wise numpy operations.
+    Partial predicates (division, see
+    :func:`~repro.plan.expressions.is_total`) are *ordering barriers*: an
+    earlier-written guard (``col("a") != 0`` before ``col("b") / col("a")
+    > 1``) must keep protecting them — the row store raises on a zero
+    divisor — so nothing moves across a partial conjunct and it keeps its
+    written position.  Total predicates reorder freely within each
+    barrier-delimited segment.
 
     Args:
         expressions: iterable of predicate expressions (implicitly ANDed).
@@ -271,13 +267,13 @@ def ordered_conjuncts(expressions, stats_for):
     ]
     order: list[int] = []
     segment: list[int] = []
-    for index, predicate in enumerate(classified):
-        if predicate.kind == "opaque":
+    for index, conjunct in enumerate(conjuncts):
+        if is_total(conjunct):
+            segment.append(index)
+        else:
             order.extend(sorted(segment, key=lambda i: (estimates[i], i)))
             order.append(index)  # the barrier stays in its written position
             segment = []
-        else:
-            segment.append(index)
     order.extend(sorted(segment, key=lambda i: (estimates[i], i)))
     return [(conjuncts[i], classified[i], estimates[i]) for i in order]
 
@@ -328,8 +324,8 @@ def push_filters_down(node: PlanNode, catalog: PlanCatalog) -> PlanNode:
 
     Only *total* predicates (:func:`repro.plan.expressions.is_total`) move
     below a join: there they run on rows the join eliminates, and a
-    partial operation (division, an opaque callable) may blow up on rows
-    it was never written to see.  Projection pushdown is always safe — it
+    partial operation (division) may blow up on rows it was never written
+    to see.  Projection pushdown is always safe — it
     does not change the row set.
     """
     node = _rebuild(node, lambda child: push_filters_down(child, catalog))
@@ -463,11 +459,9 @@ def choose_join_build_side(node: PlanNode, catalog: PlanCatalog) -> PlanNode:
 def reorder_filters(node: PlanNode, catalog: PlanCatalog) -> PlanNode:
     """Sort each consecutive filter chain by estimated selectivity.
 
-    Declarative conjuncts commute freely, so reordering never changes the
-    selected row set — but an :class:`~repro.plan.expressions.Opaque`
-    conjunct is an *ordering barrier* (:func:`ordered_conjuncts`): an
-    earlier-written guard may protect the callable's domain, so nothing
-    moves across it and the opaque predicate keeps its written position.
+    Total conjuncts commute, so reordering never changes the selected row
+    set; a partial conjunct (division) is an ordering barrier that keeps
+    its written position (:func:`ordered_conjuncts`).
     """
     if isinstance(node, Filter):
         chain: list[Expression] = []

@@ -249,7 +249,7 @@ def maybe_verify_plan(plan: PlanNode, schemas) -> None:
 
 def _self_check_cases():
     """One deliberately malformed plan per rejection class."""
-    from repro.plan.expressions import col, lit, opaque
+    from repro.plan.expressions import col, lit
     from repro.plan.logical import (
         Aggregate, ApproxAggregate, Filter, Pivot, Project, Sample,
     )
@@ -273,7 +273,7 @@ def _self_check_cases():
          Aggregate(facts, "gene_id", "expression_value", "median")),
         ("non-numeric-aggregate", Aggregate(meta, "patient_id", "name", "sum")),
         ("non-numeric-pivot", Pivot(meta, "patient_id", "age", "name")),
-        ("unknown-column", Filter(meta, opaque("weight", lambda v: v > 0))),
+        ("unknown-column", Filter(meta, col("weight").isin([60, 80]))),
         # Approximate tier: a confidence level must be strictly interior,
         # and every admitted approx kind needs driver-side mergeable
         # partials (docs/APPROXIMATE.md).

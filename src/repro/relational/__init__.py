@@ -6,16 +6,22 @@ This package implements a small but complete single-node RDBMS in Python:
   :mod:`repro.relational.catalog`),
 * slotted-page heap storage with binary tuple serialisation
   (:mod:`repro.relational.storage`, :mod:`repro.relational.table`),
-* an expression language for predicates and projections
-  (:mod:`repro.relational.expressions`),
 * Volcano-style iterator operators — sequential scan, filter, projection,
   hash join, nested-loop join, sort, hash aggregation, limit
   (:mod:`repro.relational.operators`),
-* a logical planner with predicate pushdown and join-strategy selection
-  (:mod:`repro.relational.planner`) and a fluent query-builder facade
-  (:mod:`repro.relational.query`),
+* one execution path for queries: shared logical plans (:mod:`repro.plan`)
+  are optimized once by the shared optimizer and lowered one-to-one onto
+  the operators (:mod:`repro.relational.bridge`); the fluent builder
+  (:mod:`repro.relational.query`) emits the same plans,
 * a UDF registry used by the Madlib-style in-database analytics adapter
   (:mod:`repro.relational.udf`).
+
+Predicates are the shared declarative expressions; there is no callable
+form::
+
+    from repro.plan import col, lit
+
+    genes = db.query("genes").where(col("function") < lit(250)).rows()
 
 The engine processes one Python tuple at a time through materialised pages,
 which is exactly the execution profile the paper's row-store results
@@ -27,7 +33,7 @@ UDF.
 from repro.relational.schema import Column, ColumnType, Schema
 from repro.relational.table import HeapTable
 from repro.relational.catalog import Database
-from repro.relational.expressions import col, lit, and_, or_, not_
+from repro.plan import col, lit, and_, or_, not_
 from repro.relational.query import Query
 from repro.relational.udf import UdfRegistry, default_madlib_registry
 

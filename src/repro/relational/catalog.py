@@ -6,6 +6,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from repro.plan.logical import Scan
 from repro.relational.query import Query
 from repro.relational.schema import Column, ColumnType, Schema
 from repro.relational.table import HeapTable
@@ -67,7 +68,8 @@ class Database:
 
     def query(self, table_name: str) -> Query:
         """Start a fluent query from a base table."""
-        return Query.scan(self.table(table_name))
+        self.table(table_name)  # raises KeyError listing the known tables
+        return Query(self, Scan(table_name))
 
     # -- stats --------------------------------------------------------------------------
 

@@ -10,9 +10,21 @@ from __future__ import annotations
 
 from typing import Callable, Iterable, Iterator, Sequence
 
-from repro.relational.expressions import Expression
+from repro.plan.expressions import Expression
 from repro.relational.schema import Column, ColumnType, Schema
 from repro.relational.table import HeapTable
+
+#: The one NaN object grouping keys use.  Every NaN decoded from a heap page
+#: is a fresh float and ``nan != nan``, so dict lookups would give each NaN
+#: row its own group; canonicalising FLOAT keys to this object (dicts match
+#: by identity first) makes all NaN keys one group.
+NAN = float("nan")
+
+
+def _float_positions(schema: Schema, names: Sequence[str]) -> list[int]:
+    """Positions within ``names`` whose column has schema type FLOAT."""
+    return [position for position, name in enumerate(names)
+            if schema.type_of(name) is ColumnType.FLOAT]
 
 
 class Operator:
@@ -67,13 +79,25 @@ class Filter(Operator):
 
 
 class Project(Operator):
-    """Projection to a subset (or expression list) of columns."""
+    """Projection to named columns.
 
-    def __init__(self, child: Operator, columns: Sequence[str]):
+    With ``indices`` the projection is positional: output column ``k`` is
+    input position ``indices[k]`` renamed to ``columns[k]`` (the shared
+    join lowering uses this to reorder and rename in one pass).
+    """
+
+    def __init__(self, child: Operator, columns: Sequence[str],
+                 indices: Sequence[int] | None = None):
         self.child = child
         self.columns = list(columns)
-        self.output_schema = child.output_schema.project(self.columns)
-        self._indices = [child.output_schema.index_of(name) for name in self.columns]
+        if indices is None:
+            indices = [child.output_schema.index_of(name) for name in self.columns]
+        self._indices = list(indices)
+        child_columns = child.output_schema.columns
+        self.output_schema = Schema([
+            child_columns[index].renamed(name)
+            for index, name in zip(self._indices, self.columns, strict=True)
+        ])
 
     def __iter__(self) -> Iterator[tuple]:
         indices = self._indices
@@ -121,8 +145,9 @@ class Limit(Operator):
 class HashJoin(Operator):
     """Equi-join implemented as a classic build/probe hash join.
 
-    The smaller input should be the build (left) side; the planner takes
-    care of that using table row counts.
+    The smaller input should be the build (first) side; the shared
+    optimizer's ``build_side`` annotation picks it from estimated row counts
+    (:mod:`repro.relational.bridge`).
     """
 
     def __init__(self, build: Operator, probe: Operator,
@@ -170,7 +195,11 @@ class NestedLoopJoin(Operator):
 
 
 class Sort(Operator):
-    """Full in-memory sort on one or more key columns."""
+    """Full in-memory sort on one or more key columns.
+
+    NaN in a FLOAT key sorts after every number (last ascending, first
+    descending), as in PostgreSQL.
+    """
 
     def __init__(self, child: Operator, keys: Sequence[str], descending: bool = False):
         self.child = child
@@ -178,11 +207,20 @@ class Sort(Operator):
         self.descending = descending
         self.output_schema = child.output_schema
         self._indices = [child.output_schema.index_of(k) for k in self.keys]
+        self._float_keys = set(_float_positions(child.output_schema, self.keys))
 
     def __iter__(self) -> Iterator[tuple]:
         indices = self._indices
+        float_keys = self._float_keys
         rows = list(self.child)
-        rows.sort(key=lambda row: tuple(row[i] for i in indices), reverse=self.descending)
+        if float_keys:
+            def key(row):
+                return tuple((row[i] != row[i], row[i]) if p in float_keys else row[i]
+                             for p, i in enumerate(indices))
+        else:
+            def key(row):
+                return tuple(row[i] for i in indices)
+        rows.sort(key=key, reverse=self.descending)
         return iter(rows)
 
 
@@ -203,6 +241,9 @@ _AGGREGATES: dict[str, tuple[Callable, Callable, Callable]] = {
 class HashAggregate(Operator):
     """Hash-based GROUP BY with the standard SQL aggregates.
 
+    All NaN values of a FLOAT grouping column form one group; only FLOAT
+    key columns pay for that check.
+
     Args:
         child: input operator.
         group_by: grouping column names (may be empty for a global aggregate).
@@ -221,6 +262,7 @@ class HashAggregate(Operator):
 
         input_schema = child.output_schema
         self._group_indices = [input_schema.index_of(name) for name in self.group_by]
+        self._float_keys = _float_positions(input_schema, self.group_by)
         self._value_indices = [
             input_schema.index_of(column) if function != "count" or column != "*" else 0
             for function, column, _ in self.aggregates
@@ -239,8 +281,12 @@ class HashAggregate(Operator):
         specs = [(_AGGREGATES[function], value_index)
                  for (function, _, _), value_index in zip(self.aggregates, self._value_indices, strict=True)]
         group_indices = self._group_indices
+        float_keys = self._float_keys
         for row in self.child:
             key = tuple(row[i] for i in group_indices)
+            for position in float_keys:
+                if key[position] != key[position]:
+                    key = key[:position] + (NAN,) + key[position + 1:]
             state = groups.get(key)
             if state is None:
                 state = [initial() for (initial, _, _), _ in specs]
@@ -253,17 +299,3 @@ class HashAggregate(Operator):
                 for position, ((_, _, finalise), _) in enumerate(specs)
             )
             yield key + finals
-
-
-class Materialize(Operator):
-    """Materialise a child operator once so it can be iterated repeatedly."""
-
-    def __init__(self, child: Operator):
-        self.child = child
-        self.output_schema = child.output_schema
-        self._cache: list[tuple] | None = None
-
-    def __iter__(self) -> Iterator[tuple]:
-        if self._cache is None:
-            self._cache = list(self.child)
-        return iter(self._cache)

@@ -1,5 +1,7 @@
-# Fixture: raw-lambda-predicate fires on lambdas handed to predicate
-# methods, and spares blessed DeprecationWarning shims and expressions.
+# Fixture: raw-lambda-predicate fires on every lambda handed to a predicate
+# method — a function that warns about it is not exempt — and spares
+# expressions.
+# expect: raw-lambda-predicate
 # expect: raw-lambda-predicate
 # expect: raw-lambda-predicate
 import warnings
@@ -17,7 +19,7 @@ def blessed_expression(query, col):
     return query.where(col("age") > 40)
 
 
-def blessed_shim(query):
-    # A deprecated-callable shim: warns, so lambdas inside are tolerated.
+def former_deprecation_shim(query):
+    # Once exempt; a warning no longer excuses a raw lambda.
     warnings.warn("deprecated", DeprecationWarning, stacklevel=2)
     return query.where(lambda row: row["age"] > 40)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -16,13 +17,16 @@ from repro.colstore.planner import (
     optimize_plan,
     run_plan,
 )
+from repro.arraydb import ChunkedArray
+from repro.arraydb.operators import filter_attribute
 from repro.colstore.query import JoinedQuery, materialise_join
+from repro.mapreduce import HiveSession, HiveTable
+from repro.rlang import DataFrame
 from repro.plan import (
     Aggregate,
     ColumnStats,
     Filter,
     Join,
-    Opaque,
     Pivot,
     PlanCatalog,
     Project,
@@ -41,6 +45,7 @@ from repro.plan import (
 )
 from repro.plan.optimizer import estimate_output_rows
 from repro.relational import ColumnType, Database
+from repro.relational import bridge, operators as row_ops
 from repro.relational.bridge import RelationalPlanCatalog, run_shared_plan
 
 
@@ -92,7 +97,6 @@ class TestExpressions:
         assert classify(col("x") == 5).kind == "equality"
         assert classify(col("x") != 5).kind == "inequality"
         assert classify(col("x").isin([1, 2])).kind == "membership"
-        assert classify(Opaque("x", lambda v: v > 0)).kind == "opaque"
         assert classify((col("x") < 5) | (col("x") > 9)).kind == "general"
         assert classify(col("x") < col("y")).column is None
 
@@ -119,22 +123,25 @@ class TestSelectivityEstimates:
         member = classify(col("x").isin([1, 2, 3, 4]))
         assert estimate_selectivity(member, stats) == pytest.approx(4 / 200)
 
-    def test_opaque_gets_default(self):
+    def test_general_gets_default(self):
         stats = ColumnStats(row_count=10, distinct=2, minimum=0, maximum=1)
-        assert estimate_selectivity(classify(Opaque("x", lambda v: v > 0)), stats) == pytest.approx(1 / 3)
+        general = classify((col("x") < 0) | (col("x") > 0))
+        assert estimate_selectivity(general, stats) == pytest.approx(1 / 3)
 
-    def test_opaque_is_an_ordering_barrier(self):
-        # An earlier-written declarative guard must keep protecting a
-        # later-written legacy callable: nothing moves across an opaque.
+    def test_partial_predicate_is_an_ordering_barrier(self):
+        # An earlier-written guard must keep protecting a later-written
+        # division: nothing moves across a partial conjunct.
         stats = {"x": ColumnStats(1000, minimum=0.0, maximum=100.0)}
-        guard = col("x") < 99            # unselective — would sort last
-        callable_ = Opaque("x", lambda v: v > 0)
+        guard = col("x") != 0            # unselective — would sort last
+        division = lit(10) / col("x") > 2
         selective = col("x") == 5        # selective — would sort first
         ordered = ordered_conjuncts(
-            [guard, callable_, selective], lambda c: stats.get(c)
+            [guard, division, selective], lambda c: stats.get(c)
         )
-        kinds = [predicate.kind for _, predicate, _ in ordered]
-        assert kinds == ["range", "opaque", "equality"]
+        # Identity, not ==: Expression.__eq__ builds a comparison node.
+        assert [id(expression) for expression, _, _ in ordered] == [
+            id(guard), id(division), id(selective)
+        ]
 
     def test_string_columns_get_no_range_bounds(self):
         # Lexicographic dictionary endpoints ('100' < '99') must not leak
@@ -745,6 +752,82 @@ class TestSharedPlansOnRowStore:
         np.testing.assert_array_equal(row_keys, col_keys)
         np.testing.assert_array_equal(row_values, col_values)
 
+    def test_query_is_optimized_once_and_lowered_as_optimized(self, mini_db, monkeypatch):
+        # One planner: the shared optimizer runs exactly once per query and
+        # its output is what gets lowered — no second rewrite in between.
+        optimized, lowered = [], []
+        real_optimize, real_lower = bridge.optimize, bridge.lower_shared_plan
+
+        def counting_optimize(plan, *args, **kwargs):
+            optimized.append(real_optimize(plan, *args, **kwargs))
+            return optimized[-1]
+
+        def recording_lower(plan, db):
+            lowered.append(plan)
+            return real_lower(plan, db)
+
+        monkeypatch.setattr(bridge, "optimize", counting_optimize)
+        monkeypatch.setattr(bridge, "lower_shared_plan", recording_lower)
+        (
+            mini_db.query("genes")
+            .where(col("function") < lit(10))
+            .join(mini_db.query("microarray"), on=("gene_id", "gene_id"))
+            .select("patient_id", "expression_value")
+            .rows()
+        )
+        assert len(optimized) == 1
+        assert lowered[0] is optimized[0]
+        optimized.clear(), lowered.clear()
+        run_shared_plan(Pivot(self._plan(), "patient_id", "gene_id",
+                              "expression_value"), mini_db)
+        assert len(optimized) == 1
+        assert lowered[0] is optimized[0].child
+
+    def test_lowering_is_one_to_one(self, mini_db):
+        # Stacked filters stay two Filter operators (nothing is merged) and
+        # a join is one HashJoin under one positional Project.
+        plan = Filter(
+            Filter(Join(Scan("genes"), Scan("microarray"), "gene_id", "gene_id"),
+                   col("function") < 10),
+            col("patient_id") > 0,
+        )
+        operator = bridge.lower_shared_plan(plan, mini_db)
+        kinds = []
+        while True:
+            kinds.append(type(operator).__name__)
+            if isinstance(operator, row_ops.HashJoin):
+                break
+            operator = operator.child
+        assert kinds == ["Filter", "Filter", "Project", "HashJoin"]
+
+    def test_nan_group_keys_form_one_group_sorted_last(self):
+        keys = np.array([np.nan, np.nan, 1.0])
+        values = np.array([1.0, 2.0, 3.0])
+        db = Database("n")
+        db.create_table("t", [("k", ColumnType.FLOAT), ("v", ColumnType.FLOAT)])
+        db.load_array("t", np.column_stack([keys, values]))
+        store = ColumnStore("n")
+        store.create_table("t", {"k": keys, "v": values})
+        plan = Aggregate(Scan("t"), "k", "v", "mean")
+        row_keys, row_values = run_shared_plan(plan, db)
+        col_keys, col_values = run_plan(plan, store)
+        np.testing.assert_array_equal(row_keys, [1.0, np.nan])
+        np.testing.assert_array_equal(row_values, [3.0, 1.5])
+        np.testing.assert_array_equal(row_keys, col_keys)
+        np.testing.assert_array_equal(row_values, col_values)
+
+    def test_nan_pivot_labels_form_one_label(self):
+        db = Database("n")
+        db.create_table("t", [("k", ColumnType.FLOAT), ("c", ColumnType.INT),
+                              ("v", ColumnType.FLOAT)])
+        db.load_array("t", np.array([[np.nan, 0, 1.0], [np.nan, 1, 2.0], [1.0, 0, 3.0]]))
+        matrix, row_labels, column_labels = run_shared_plan(
+            Pivot(Scan("t"), "k", "c", "v"), db
+        )
+        np.testing.assert_array_equal(row_labels, [np.nan, 1.0])
+        assert column_labels == [0, 1]
+        np.testing.assert_array_equal(matrix, [[1.0, 2.0], [3.0, 0.0]])
+
     def test_relational_catalog_exposes_row_counts(self, mini_db):
         catalog = RelationalPlanCatalog(mini_db)
         assert catalog.columns_of("genes") == ["gene_id", "function"]
@@ -772,30 +855,17 @@ def _chain_table():
 
 
 class TestLazyColumnQuery:
-    def test_legacy_guard_pattern_still_protects_callable(self):
-        # Seed behaviour: a callable written after a filter only ever saw
-        # the surviving values.  The optimizer must not hoist it — here the
-        # guard estimates at ~1.0 selectivity (dictionary stats), so plain
-        # selectivity sorting *would* run the 1/3-estimate callable first.
+    def test_guard_still_protects_a_later_division(self):
+        # A division written after a guard only ever sees the surviving
+        # values.  The optimizer must not hoist it — here the guard
+        # estimates at ~0.9 selectivity, so plain selectivity sorting
+        # *would* run the 1/3-estimate division first and divide by zero.
         table = ColumnTable(
             "t", [ColumnVector("x", np.arange(5), encoding="dictionary")]
         )
-
-        def fragile(values):
-            if (values == 0).any():
-                raise AssertionError("guard was bypassed")
-            return 10 % values == 0
-
-        with pytest.warns(DeprecationWarning):
-            query = ColumnQuery(table).where(col("x") > 0).where("x", fragile)
-        np.testing.assert_array_equal(query.selection, [1, 2])  # x in {1, 2}
-
-    def test_where_expression_matches_callable_shim(self):
-        table = _chain_table()
-        declarative = ColumnQuery(table).where(col("category") < 20)
-        with pytest.warns(DeprecationWarning):
-            shim = ColumnQuery(table).where("category", lambda v: v < 20)
-        np.testing.assert_array_equal(declarative.selection, shim.selection)
+        query = ColumnQuery(table).where(col("x") != 0).where(lit(10) / col("x") > 4)
+        with np.errstate(divide="raise"):
+            np.testing.assert_array_equal(query.selection, [1, 2])  # 10/x > 4
 
     def test_selection_is_cached_and_filters_stack(self):
         table = _chain_table()
@@ -913,7 +983,6 @@ class TestUniformUnknownColumnErrors:
         query = ColumnQuery(table)
         cases = [
             lambda: query.where(col("missing") < 1),
-            lambda: query.where("missing", lambda v: v > 0),
             lambda: query.where_in("missing", [1]),
             lambda: query.column("missing"),
             lambda: query.group_aggregate("missing", "score"),
@@ -935,9 +1004,6 @@ class TestUniformUnknownColumnErrors:
         cases = [
             lambda: query.where(col("missing") < 1),
             lambda: query.select("missing"),
-            lambda: query.group_by(["missing"], [("count", "*", "n")]),
-            lambda: query.group_by(["id"], [("avg", "missing", "m")]),
-            lambda: query.order_by("missing"),
             lambda: query.join(db.query("people"), on=("missing", "id")),
             lambda: query.join(db.query("people"), on=("id", "missing")),
         ]
@@ -961,14 +1027,58 @@ class TestUniformUnknownColumnErrors:
             .where((col("tag") == lit(7)) & (col("b") / col("a") > lit(1)))
             .rows()
         )
-        assert rows == [(1, 2, 10, 1, 7)]  # l.id, a, b, id_right, tag
+        assert rows == [(1, 2, 10, 7)]  # l.id, a, b, tag (right key dropped)
 
-    def test_valid_aggregates_still_pass_validation(self):
+    def test_row_store_guard_still_protects_a_later_division(self):
+        # The shared optimizer reorders filters by selectivity, but a
+        # partial conjunct keeps its written position behind its guard.
         db = Database("g")
-        db.create_table("people", [("id", ColumnType.INT), ("x", ColumnType.FLOAT)])
-        db.load_array("people", np.array([[1, 0.5], [2, 1.5]]))
-        rows = db.query("people").group_by([], [("count", "*", "n")]).rows()
-        assert rows == [(2,)]
+        db.create_table("l", [("a", ColumnType.INT), ("b", ColumnType.INT)])
+        db.load_array("l", np.array([[2, 10], [0, 5]]))
+        query = db.query("l").where(col("a") != lit(0)).where(col("b") / col("a") > lit(1))
+        assert query.rows() == [(2, 10)]
+
+    def test_row_store_lone_division_not_pushed_below_join(self):
+        # A lone partial predicate stays above the join too (the shared
+        # is_total guard): below it, the a=0 row would divide by zero.
+        db = Database("g")
+        db.create_table("l", [("id", ColumnType.INT), ("a", ColumnType.INT),
+                              ("b", ColumnType.INT)])
+        db.load_array("l", np.array([[1, 2, 10], [2, 0, 5]]))
+        db.create_table("r", [("id", ColumnType.INT)])
+        db.load_array("r", np.array([[1]]))
+        query = (
+            db.query("l")
+            .join(db.query("r"), on=("id", "id"))
+            .where(col("b") / col("a") > lit(1))
+        )
+        optimized = optimize(query.logical_plan(), RelationalPlanCatalog(db))
+        assert isinstance(optimized, Filter) and isinstance(optimized.child, Join)
+        assert query.rows() == [(1, 2, 10)]
+
+
+# --------------------------------------------------------------------------- #
+# No callable predicates: each former callable entry point raises TypeError
+# --------------------------------------------------------------------------- #
+
+_FORMER_CALLABLE_FORMS = {
+    "ColumnQuery.where": lambda: ColumnQuery(_chain_table()).where(
+        "category", lambda v: v < 20),
+    "DataFrame.subset": lambda: DataFrame({"x": np.arange(4)}).subset(
+        lambda frame: frame["x"] < 2),
+    "HiveSession.select": lambda: HiveSession().select(
+        HiveTable.from_array("t", ["x"], np.arange(4).reshape(-1, 1)),
+        lambda row: row["x"] < 2),
+    "filter_attribute": lambda: filter_attribute(
+        ChunkedArray.from_dense("a", np.ones((4, 4)), ["i", "j"], chunk_sizes=[2, 2]),
+        "value", lambda v: v > 0.5),
+}
+
+
+@pytest.mark.parametrize("entry_point", sorted(_FORMER_CALLABLE_FORMS))
+def test_former_callable_entry_point_raises_type_error(entry_point):
+    with pytest.raises(TypeError, match=re.escape(entry_point) + r".*repro\.plan\.col"):
+        _FORMER_CALLABLE_FORMS[entry_point]()
 
 
 # --------------------------------------------------------------------------- #

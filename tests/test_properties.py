@@ -24,6 +24,7 @@ from repro.linalg.qr import householder_qr, linear_regression, lstsq_qr
 from repro.linalg.lanczos import lanczos_svd
 from repro.linalg.wilcoxon import _rank_with_ties, rank_sum_test
 from repro.mapreduce.engine import MapReduceEngine, MapReduceJob
+from repro.plan import col
 from repro.relational import ColumnType
 from repro.relational.schema import Schema
 from repro.relational.storage import HeapFile
@@ -184,8 +185,8 @@ class TestCompressedExecutionProperties:
         compressed = ColumnQuery(ColumnTable.from_arrays("c", arrays, compress=True))
         plain = ColumnQuery(ColumnTable.from_arrays("p", arrays, compress=False))
         for query in (
-            lambda q: q.where("key", lambda v: v < threshold),
-            lambda q: q.where("key", lambda v: v == threshold),  # maybe empty
+            lambda q: q.where(col("key") < threshold),
+            lambda q: q.where(col("key") == threshold),  # maybe empty
             lambda q: q.where_in("key", np.asarray([threshold, threshold, 0])),
         ):
             left, right = query(compressed), query(plain)
@@ -326,7 +327,7 @@ class TestAggregationPushdownProperties:
         arrays = {"g": groups, "c": groups % 7 if len(groups) else groups, "v": values}
         compressed = ColumnQuery(ColumnTable.from_arrays("c", arrays, compress=True))
         plain = ColumnQuery(ColumnTable.from_arrays("p", arrays, compress=False))
-        for narrow in (lambda q: q, lambda q: q.where("g", lambda v: v < threshold)):
+        for narrow in (lambda q: q, lambda q: q.where(col("g") < threshold)):
             left, right = narrow(compressed), narrow(plain)
             for function in ("count", "sum", "mean", "min", "max"):
                 fast = left.group_aggregate("g", "v", function)

@@ -28,7 +28,8 @@ from repro.relational.operators import (
     SeqScan,
     Sort,
 )
-from repro.relational.planner import FilterNode, JoinNode, ScanNode, optimize
+from repro.plan import logical
+from repro.relational.bridge import optimize_shared_plan, run_shared_plan
 from repro.relational.schema import Column, Schema
 from repro.relational.storage import HeapFile, Page
 from repro.relational.table import table_from_arrays
@@ -252,6 +253,10 @@ class TestOperators:
         (row,) = plan.rows()
         assert row[1] == 4
 
+    def test_global_count_star(self, people_table):
+        plan = HashAggregate(SeqScan(people_table), [], [("count", "*", "n")])
+        assert plan.rows() == [(4,)]
+
     def test_aggregate_unknown_function(self, people_table):
         with pytest.raises(ValueError):
             HashAggregate(SeqScan(people_table), [], [("median", "score", "m")])
@@ -268,10 +273,10 @@ class TestPlannerAndQuery:
             .join(genbase_db.query("microarray"), on=("gene_id", "gene_id"))
             .where(col("function") < lit(10))
         )
-        optimized = optimize(query.logical_plan())
-        assert isinstance(optimized, JoinNode)
-        assert isinstance(optimized.left, FilterNode)
-        assert isinstance(optimized.left.child, ScanNode)
+        optimized = optimize_shared_plan(query.logical_plan(), genbase_db)
+        assert isinstance(optimized, logical.Join)
+        assert isinstance(optimized.left, logical.Filter)
+        assert isinstance(optimized.left.child, logical.Scan)
 
     def test_pushdown_preserves_results(self, genbase_db):
         pushed = (
@@ -290,12 +295,17 @@ class TestPlannerAndQuery:
 
     def test_join_build_side_swap_keeps_column_order(self, genbase_db):
         # genes (small) joined as the right input of microarray (large):
-        # the planner builds on genes but output columns must stay in order.
+        # the optimizer builds on genes but output columns must stay in
+        # the shared order (left columns, then right minus the right key).
         query = genbase_db.query("microarray").join(
             genbase_db.query("genes"), on=("gene_id", "gene_id")
         )
+        assert optimize_shared_plan(query.logical_plan(), genbase_db).build_side == "right"
         result = query.run()
-        assert result.schema.names[:3] == ("gene_id", "patient_id", "expression_value")
+        genes = genbase_db.table("genes").schema.names
+        assert result.schema.names == (
+            "gene_id", "patient_id", "expression_value", *genes[1:]
+        )
         assert len(result) == len(genbase_db.table("microarray").to_rows())
 
     def test_explain_mentions_operators(self, genbase_db):
@@ -305,22 +315,18 @@ class TestPlannerAndQuery:
             .select("gene_id")
             .explain()
         )
-        assert "SeqScan" in text and "Filter" in text and "Project" in text
+        assert "Scan genes" in text and "Filter" in text and "Project" in text
 
-    def test_query_count_and_order_by(self, genbase_db):
+    def test_query_count(self, genbase_db):
         query = genbase_db.query("genes").where(col("function") < lit(10))
         assert query.count() == len(query.rows())
-        ordered = genbase_db.query("genes").order_by("length", descending=True).rows()
-        lengths = [row[3] for row in ordered]
-        assert lengths == sorted(lengths, reverse=True)
 
-    def test_group_by_via_query(self, genbase_db):
-        rows = (
-            genbase_db.query("microarray")
-            .group_by(["gene_id"], [("avg", "expression_value", "avg_value")])
-            .rows()
+    def test_aggregate_via_shared_plan(self, genbase_db):
+        keys, means = run_shared_plan(
+            logical.Aggregate(logical.Scan("microarray"), "gene_id", "expression_value"),
+            genbase_db,
         )
-        assert len(rows) == genbase_db.table("genes").row_count
+        assert len(keys) == len(means) == genbase_db.table("genes").row_count
 
     def test_pivot_matches_source_matrix(self, genbase_db, tiny_dataset):
         result = genbase_db.query("microarray").run()
@@ -330,7 +336,10 @@ class TestPlannerAndQuery:
         np.testing.assert_allclose(matrix, tiny_dataset.expression_matrix, atol=1e-12)
 
     def test_result_set_to_array_and_column(self, genbase_db):
-        result = genbase_db.query("genes").select("gene_id", "function").limit(5).run()
+        result = (
+            genbase_db.query("genes").where(col("gene_id") < lit(5))
+            .select("gene_id", "function").run()
+        )
         array = result.to_array()
         assert array.shape == (5, 2)
         assert result.column("gene_id") == [int(v) for v in array[:, 0]]

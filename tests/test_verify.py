@@ -42,7 +42,6 @@ from repro.plan import (
     lit,
     literal_dtype,
     maybe_verify_rewrite,
-    opaque,
     verification_enabled,
     verified_schema,
     verify_rewrite,
@@ -124,9 +123,11 @@ class TestVerifiedSchema:
         with pytest.raises(PlanVerificationError, match="unknown column"):
             verified_schema(Filter(Scan("t"), col("c") < lit(1)), schemas)
 
-    def test_opaque_predicate_checks_column_only(self):
-        plan = Filter(patients(), opaque("age", lambda v: v > 40))
+    def test_membership_predicate_checks_its_column(self):
+        plan = Filter(patients(), col("age").isin([40, 41]))
         assert verified_schema(plan, SCHEMAS) == SCHEMAS["patients"]
+        with pytest.raises(PlanVerificationError, match="unknown column 'weight'"):
+            verified_schema(Filter(patients(), col("weight").isin([60])), SCHEMAS)
 
     def test_mapping_catalog_answers_like_a_catalog(self):
         catalog = MappingCatalog(SCHEMAS)
